@@ -8,13 +8,15 @@
 //!    front, SWAR varint batch decode straight out of the mapping).
 //!    Same bytes, same integrity checks, three cost models.
 //! 2. **firstfit** — the seed's linear first-fit scan
-//!    ([`LinearFirstFit`]) vs the size-segregated indexed [`FirstFit`]
-//!    on a fragmentation workload built to be the linear scan's worst
-//!    case: a lattice of small holes that every larger allocation must
-//!    walk past. Warmup asserts both heaps agree on every observable
-//!    (`OpCounts` including `search_steps`, `max_heap_bytes`) before
-//!    any timing, so the speedup is measured between *provably
-//!    equivalent* implementations.
+//!    ([`LinearFirstFit`]) vs the tree-indexed [`FirstFit`] on two
+//!    traces. The lattice is built to be the linear scan's worst case:
+//!    small holes that every larger allocation must walk past. The
+//!    `server` trace is real traffic, where the rover keeps linear
+//!    searches short and the index has to win on upkeep alone; the
+//!    indexed heap must not be slower there. Warmup asserts both heaps
+//!    agree on every observable (`OpCounts` including `search_steps`,
+//!    `max_heap_bytes`) before any timing, so the speedup is measured
+//!    between *provably equivalent* implementations.
 //! 3. **simulate** — the end-to-end `lifepred simulate` pipeline
 //!    (records → prediction bitmap, events → chunked arena replay)
 //!    over several trace images, fanned out with
@@ -47,8 +49,8 @@ use lifepred_core::{
 };
 use lifepred_heap::reference::LinearFirstFit;
 use lifepred_heap::{
-    replay_arena_chunks, replay_firstfit_chunks, Addr, FirstFit, ReplayConfig, ReplayMeta,
-    ReplayReport,
+    replay_arena_chunks, replay_firstfit_chunks, Addr, FirstFit, OpCounts, ReplayConfig,
+    ReplayMeta, ReplayReport,
 };
 use lifepred_trace::{
     ChunkSource, EventChunk, EventKind, Trace, TraceSession, POOLED_CHUNK_EVENTS,
@@ -79,6 +81,23 @@ const ROUNDS: usize = 31;
 /// Paired rounds for the firstfit comparison (each round replays the
 /// full quadratic linear scan, so fewer rounds keep the run bounded).
 const FF_ROUNDS: usize = 15;
+
+/// Target events and seed of the real-traffic firstfit row: the size
+/// and seed of `perfbench`'s `server` workload (`gen --events 1200k
+/// --seed 1`). Smoke runs replay a tenth of the events.
+const FF_SERVER_EVENTS: u64 = 1_200_000;
+const FF_SERVER_SEED: u64 = 1;
+
+/// Paired rounds for the real-traffic firstfit row.
+const FF_SERVER_ROUNDS: usize = 9;
+
+/// The indexed heap must replay the server trace at least this many
+/// times as fast as the linear scan.
+const FF_SERVER_FLOOR: f64 = 1.0;
+
+/// Share of a floor that a smoke run must reach: smoke runs are a few
+/// milliseconds long on shared CI runners, so they get slack.
+const SMOKE_TOLERANCE: f64 = 0.8;
 
 /// Rounds for the simulate sweep; each round runs 3 × [`SIM_TRACES`]
 /// full pipelines.
@@ -194,30 +213,52 @@ fn frag_workload(keepers: usize, churn: usize) -> Trace {
     s.finish()
 }
 
-/// Replays `trace` through the seed's linear first-fit, returning the
-/// observables the equivalence check compares.
-fn replay_linear(trace: &Trace) -> (u64, u64) {
-    let mut heap = LinearFirstFit::new();
-    let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
-    for event in trace.events() {
-        match event.kind {
-            EventKind::Alloc => {
-                let size = trace.records()[event.record].size;
-                slots[event.record] = Some(heap.alloc(size));
-            }
-            EventKind::Free => {
-                if let Some(addr) = slots[event.record].take() {
-                    heap.free(addr);
-                }
-            }
-        }
-    }
-    (heap.counts().search_steps, heap.max_heap_bytes())
+/// The seeded `server` trace of the real-traffic firstfit row.
+fn server_trace(events: u64) -> Trace {
+    let config = SimConfig::for_events(events, FF_SERVER_SEED);
+    let (_, image) =
+        generate_lpt(&config, std::io::Cursor::new(Vec::new())).expect("generate server trace");
+    TraceReader::new(image.into_inner().as_slice())
+        .expect("trace header")
+        .read_trace()
+        .expect("server trace")
 }
 
-/// Same loop over the indexed heap.
-fn replay_indexed(trace: &Trace) -> (u64, u64) {
-    let mut heap = FirstFit::new();
+/// The two first-fit heaps under comparison.
+trait FirstFitHeap: Default {
+    fn alloc(&mut self, size: u32) -> Addr;
+    fn free(&mut self, addr: Addr);
+    /// The observables the equivalence check compares.
+    fn observables(&self) -> (OpCounts, u64);
+}
+
+impl FirstFitHeap for LinearFirstFit {
+    fn alloc(&mut self, size: u32) -> Addr {
+        LinearFirstFit::alloc(self, size)
+    }
+    fn free(&mut self, addr: Addr) {
+        LinearFirstFit::free(self, addr);
+    }
+    fn observables(&self) -> (OpCounts, u64) {
+        (*self.counts(), self.max_heap_bytes())
+    }
+}
+
+impl FirstFitHeap for FirstFit {
+    fn alloc(&mut self, size: u32) -> Addr {
+        FirstFit::alloc(self, size)
+    }
+    fn free(&mut self, addr: Addr) {
+        FirstFit::free(self, addr);
+    }
+    fn observables(&self) -> (OpCounts, u64) {
+        (*self.counts(), self.max_heap_bytes())
+    }
+}
+
+/// Replays `trace` through a fresh `H`, returning its observables.
+fn replay_heap<H: FirstFitHeap>(trace: &Trace) -> (OpCounts, u64) {
+    let mut heap = H::default();
     let mut slots: Vec<Option<Addr>> = vec![None; trace.records().len()];
     for event in trace.events() {
         match event.kind {
@@ -232,7 +273,28 @@ fn replay_indexed(trace: &Trace) -> (u64, u64) {
             }
         }
     }
-    (heap.counts().search_steps, heap.max_heap_bytes())
+    heap.observables()
+}
+
+/// Times the linear and indexed heaps over `trace` after asserting they
+/// agree; returns `(t_linear, t_indexed, speedup)`.
+fn firstfit_race(name: &str, trace: &Trace, rounds: usize) -> (f64, f64, f64) {
+    // Equivalence before speed: both heaps must agree on every
+    // observable, or the comparison is meaningless.
+    assert_eq!(
+        replay_heap::<LinearFirstFit>(trace),
+        replay_heap::<FirstFit>(trace),
+        "linear and indexed first-fit diverged on the {name} trace"
+    );
+    paired_speedup(
+        rounds,
+        || {
+            std::hint::black_box(replay_heap::<LinearFirstFit>(trace));
+        },
+        || {
+            std::hint::black_box(replay_heap::<FirstFit>(trace));
+        },
+    )
 }
 
 /// One full offline-arena `simulate` pipeline over an in-memory `.lpt`
@@ -413,25 +475,24 @@ fn main() {
     );
     std::fs::remove_file(&gate_path).ok();
 
-    // --- firstfit: linear scan vs size-segregated index -----------------
+    // --- firstfit: linear scan vs free-block tree -----------------------
     let frag = frag_workload(keepers, churn);
     let ff_events = frag.events().len() as u64;
-    // Equivalence before speed: both heaps must agree on every
-    // observable, or the comparison is meaningless.
-    assert_eq!(
-        replay_linear(&frag),
-        replay_indexed(&frag),
-        "linear and indexed first-fit diverged on the bench workload"
-    );
-    let (t_linear, t_indexed, ff_speedup) = paired_speedup(
-        rounds(FF_ROUNDS),
-        || {
-            std::hint::black_box(replay_linear(&frag));
-        },
-        || {
-            std::hint::black_box(replay_indexed(&frag));
-        },
-    );
+    let (t_linear, t_indexed, ff_speedup) = firstfit_race("lattice", &frag, rounds(FF_ROUNDS));
+    let ff_server = server_trace(if smoke() {
+        FF_SERVER_EVENTS / 10
+    } else {
+        FF_SERVER_EVENTS
+    });
+    let ffs_events = ff_server.events().len() as u64;
+    let (t_ffs_linear, t_ffs_indexed, ffs_speedup) =
+        firstfit_race("server", &ff_server, rounds(FF_SERVER_ROUNDS));
+    drop(ff_server);
+    let ffs_floor = if smoke() {
+        FF_SERVER_FLOOR * SMOKE_TOLERANCE
+    } else {
+        FF_SERVER_FLOOR
+    };
 
     // --- simulate: end-to-end pipeline scaling over --jobs --------------
     let db = train(
@@ -510,7 +571,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \
-           \"schema\": \"lifepred-bench-replay-v2\",\n  \
+           \"schema\": \"lifepred-bench-replay-v3\",\n  \
            \"smoke\": {smoke},\n  \
            {host_fields},\n  \
            \"decode\": {{\n    \
@@ -533,6 +594,14 @@ fn main() {
              \"linear_events_per_sec\": {linear_rate:.0},\n    \
              \"indexed_events_per_sec\": {indexed_rate:.0},\n    \
              \"speedup\": {ff_speedup:.2}\n  \
+           }},\n  \
+           \"firstfit_server\": {{\n    \
+             \"events\": {ffs_events},\n    \
+             \"seed\": {FF_SERVER_SEED},\n    \
+             \"linear_ns_per_event\": {ffs_linear_ns:.1},\n    \
+             \"indexed_ns_per_event\": {ffs_indexed_ns:.1},\n    \
+             \"speedup\": {ffs_speedup:.2},\n    \
+             \"floor\": {FF_SERVER_FLOOR}\n  \
            }},\n  \
            \"simulate\": {{\n    \
              \"traces\": {SIM_TRACES},\n    \
@@ -563,6 +632,8 @@ fn main() {
         gate_mapped_rate = gate_events as f64 / t_gate_mapped,
         linear_rate = ff_events as f64 / t_linear,
         indexed_rate = ff_events as f64 / t_indexed,
+        ffs_linear_ns = t_ffs_linear * 1e9 / ffs_events as f64,
+        ffs_indexed_ns = t_ffs_indexed * 1e9 / ffs_events as f64,
         gen_rate = scale_events as f64 / gen_secs,
         scale_iter_rate = scale_events as f64 / t_scale_iter,
         scale_mapped_rate = scale_events as f64 / t_scale_mapped,
@@ -584,6 +655,12 @@ fn main() {
         "firstfit: {:.0} events/s linear, {:.0} events/s indexed ({ff_speedup:.2}x)",
         ff_events as f64 / t_linear,
         ff_events as f64 / t_indexed,
+    );
+    println!(
+        "firstfit: server trace ({ffs_events} events): {:.0} ns/event linear, {:.0} ns/event \
+         indexed ({ffs_speedup:.2}x, floor {ffs_floor:.2}x)",
+        t_ffs_linear * 1e9 / ffs_events as f64,
+        t_ffs_indexed * 1e9 / ffs_events as f64,
     );
     println!(
         "simulate: {SIM_TRACES} traces in {t_jobs1:.3}s @ jobs=1, {t_jobs2:.3}s @ jobs=2 \
@@ -615,6 +692,14 @@ fn main() {
     } else {
         println!("decode check: mapped speedup {gate_speedup:.2}x meets the {DECODE_FLOOR}x floor");
     }
+    // Real-traffic floor: the index exists to make first-fit replay
+    // faster, so it must not lose to the linear scan on the server
+    // trace. Always enforced; smoke runs get SMOKE_TOLERANCE slack.
+    assert!(
+        ffs_speedup >= ffs_floor,
+        "indexed first-fit is {ffs_speedup:.2}x the linear scan on the server trace, \
+         below the {ffs_floor:.2}x floor"
+    );
     // Scaling floor: on a machine with the cores to show it, `--jobs 4`
     // must be at least 1.3x faster than sequential. Advisory by
     // default (a shared CI runner can eat the headroom); exporting

@@ -326,11 +326,40 @@ fn alloc_zeroed_is_zero() {
     assert_clean();
 }
 
+/// Marks the child process in which [`storm_balances_allocs_and_frees`]
+/// runs alone.
+const STORM_ALONE: &str = "LIFEPRED_GALLOC_STORM_ALONE";
+
 /// Leak accounting on a quiescent slice of traffic: a full
 /// alloc/free cycle of N blocks moves the alloc and free totals by
 /// the same amount.
+///
+/// `stats()` is process-wide, so sibling tests allocating at the same
+/// time would land in the before/after delta. The test therefore
+/// re-runs itself alone in a child process, where this thread is the
+/// only one allocating and the delta is its own traffic.
 #[test]
 fn storm_balances_allocs_and_frees() {
+    if std::env::var_os(STORM_ALONE).is_none() {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args([
+                "storm_balances_allocs_and_frees",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(STORM_ALONE, "1")
+            .output()
+            .expect("spawn the storm child");
+        assert!(
+            out.status.success(),
+            "storm child failed ({}):\n{}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
     ensure_active();
     // Drain this thread's counter batch so before/after deltas are
     // visible: cross the clock-flush threshold deliberately.
@@ -363,10 +392,9 @@ fn storm_balances_allocs_and_frees() {
         allocated >= 4_096,
         "expected ≥4096 small allocs, saw {allocated}"
     );
-    // Other tests may run concurrently; the invariant that survives
-    // interleaving is that nothing we freed went missing: frees keep
-    // pace with allocs to within the transit buffers (magazines are
-    // bounded at 32 blocks x 16 classes per live thread).
+    // Nothing we freed went missing: frees keep pace with allocs to
+    // within the transit buffers (magazines are bounded at 32 blocks x
+    // 16 classes per live thread).
     let in_transit = 32 * 16 * 16;
     assert!(
         freed + in_transit >= allocated,

@@ -1,17 +1,23 @@
-//! Knuth's first-fit allocator with boundary tags and a roving pointer.
+//! Knuth's first-fit allocator with a roving pointer.
 //!
-//! Since PR 5 the allocation path is answered by a size-segregated
-//! free-block index ([`FreeIndex`]) in O(log n) instead of the paper's
-//! linear scan, while every observable — placements, heap growth and
-//! the [`OpCounts`] the Table 9 cost model consumes — stays
-//! byte-identical to the linear implementation (retained as
+//! The heap is two structures. A hash map keyed by start address holds
+//! the allocated blocks, and a [`FreeTree`] — an address-ordered tree
+//! annotated with each subtree's largest block and block count — holds
+//! the free ones. Together they exactly tile `[base, brk)`. The tree
+//! answers the roving first-fit search in O(log n) instead of the
+//! paper's linear scan, and finds a freed block's free neighbours for
+//! coalescing in one more descent. Every
+//! observable — placements, heap growth and the [`OpCounts`] the
+//! Table 9 cost model consumes — stays byte-identical to the linear
+//! implementation, which is retained as
 //! [`reference::LinearFirstFit`](crate::reference::LinearFirstFit) and
-//! proven equivalent by `tests/differential.rs`).
+//! proven equivalent by `tests/differential.rs`.
 
 use crate::counts::OpCounts;
-use crate::index::{FreeIndex, IndexStats};
+use crate::index::{FreeTree, IndexStats};
 use crate::Addr;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-object header bytes (size + status word, boundary tag style).
 pub const HEADER: u64 = 8;
@@ -22,33 +28,52 @@ pub(crate) const MIN_SPLIT: u64 = 16;
 /// Heap growth quantum — an early-90s `sbrk` page multiple.
 pub const PAGE: u64 = 8192;
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Block {
-    pub(crate) size: u64,
-    pub(crate) free: bool,
+/// Hashes a block address with one widening multiply, folded so that
+/// both the low bits (the bucket) and the high bits (the tag) of the
+/// result depend on every address bit. The keys are addresses this heap
+/// handed out, never trace input, so no collision-flooding defence is
+/// needed.
+#[derive(Debug, Clone, Copy, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, addr: u64) {
+        let p = u128::from(addr) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A simulated first-fit heap (Knuth, TAOCP vol. 1 §2.5), the paper's
 /// baseline allocator and the general heap backing the arena
 /// allocator.
 ///
-/// Enhancements per Knuth: boundary tags give O(1) coalescing at free
-/// time, and a *roving pointer* resumes each search where the previous
-/// one ended so small blocks don't accumulate at the front of the free
-/// list. The heap grows in `PAGE`-byte (8 KB) increments.
+/// Every block carries a `HEADER`-byte boundary tag, and a freed block
+/// is coalesced with free neighbours at once. A *roving pointer*
+/// resumes each search where the previous one ended, so small blocks
+/// don't accumulate at the front of the free list. The heap grows in
+/// `PAGE`-byte (8 KB) increments.
 ///
-/// The search itself runs on a log2 size-class index with an
-/// address-order-statistic set (`src/index.rs`): placements and
-/// all [`OpCounts`] — including `search_steps`, the number of free
+/// The search runs on the free-block tree (`src/index.rs`): placements
+/// and all [`OpCounts`] — including `search_steps`, the number of free
 /// blocks the paper's *linear* scan would have examined — are
-/// identical to the linear implementation, only the wall-clock cost
+/// identical to the linear implementation; only the wall-clock cost
 /// per allocation drops from O(free blocks) to O(log n).
 ///
 /// Freeing an address that is not a live allocation of this heap
 /// (never allocated, already freed, or pointing into the middle of a
 /// block) is a **documented no-op** counted in
 /// [`OpCounts::frees_invalid`], so a corrupted trace cannot poison the
-/// index or the boundary tags.
+/// heap's structures.
 ///
 /// # Examples
 ///
@@ -65,11 +90,10 @@ pub(crate) struct Block {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FirstFit {
-    /// Every block (allocated and free), keyed by start address; the
-    /// blocks exactly tile `[base, brk)`.
-    blocks: BTreeMap<u64, Block>,
-    /// Size-segregated index over the free blocks only.
-    index: FreeIndex,
+    /// Allocated blocks: start address → size.
+    live: HashMap<u64, u64, BuildHasherDefault<AddrHasher>>,
+    /// Free blocks; with `live` they exactly tile `[base, brk)`.
+    free: FreeTree,
     base: u64,
     brk: u64,
     max_brk: u64,
@@ -93,8 +117,8 @@ impl FirstFit {
     /// allocator owns a disjoint part of the address space).
     pub fn with_base(base: u64) -> Self {
         FirstFit {
-            blocks: BTreeMap::new(),
-            index: FreeIndex::new(),
+            live: HashMap::default(),
+            free: FreeTree::new(),
             base,
             brk: base,
             max_brk: base,
@@ -107,13 +131,12 @@ impl FirstFit {
     pub fn alloc(&mut self, size: u32) -> Addr {
         self.counts.allocs += 1;
         let need = Self::block_size(size);
-
-        if let Some(addr) = self.search(need) {
-            return self.place(addr, need);
-        }
-        // No fit: grow the heap so the topmost free region fits `need`.
-        let addr = self.grow_for(need);
-        self.place(addr, need)
+        let (addr, block) = match self.search(need) {
+            Some(hit) => hit,
+            // No fit: grow the heap so the topmost free region fits `need`.
+            None => self.grow_for(need),
+        };
+        self.place(addr, block, need)
     }
 
     /// Frees the block at `addr` (a value previously returned by
@@ -124,61 +147,44 @@ impl FirstFit {
     /// and counted in [`OpCounts::frees_invalid`], so replaying a
     /// corrupted trace cannot corrupt the heap structures.
     pub fn free(&mut self, addr: Addr) {
-        let Some(start) = addr.0.checked_sub(HEADER) else {
+        let Some((start, size)) = addr
+            .0
+            .checked_sub(HEADER)
+            .and_then(|start| Some((start, self.live.remove(&start)?)))
+        else {
             self.counts.frees_invalid += 1;
             return;
         };
-        match self.blocks.get_mut(&start) {
-            Some(block) if !block.free => block.free = true,
-            _ => {
-                self.counts.frees_invalid += 1;
-                return;
+        self.counts.frees += 1;
+        let next = start + size;
+        let (below, above) = self.free.neighbours(start);
+        let prev = below.filter(|&(paddr, psize)| paddr + psize == start);
+        let next_size = above
+            .filter(|&(naddr, _)| naddr == next)
+            .map(|(_, nsize)| nsize);
+        // Only a two-sided coalesce or a lone free changes the tree's
+        // shape; a one-sided coalesce grows a free block in place.
+        match (prev, next_size) {
+            (None, None) => self.free.insert(start, size),
+            (None, Some(nsize)) => self.free.update(next, start, size + nsize),
+            (Some((paddr, psize)), None) => self.free.update(paddr, paddr, psize + size),
+            (Some((paddr, psize)), Some(nsize)) => {
+                self.free.remove(next);
+                self.free.update(paddr, paddr, psize + size + nsize);
             }
         }
-        self.counts.frees += 1;
-        let mut start = start;
-        let mut size = self.blocks[&start].size;
-        self.index.insert(start, size);
-
-        // Coalesce with the next block.
-        let next = start + size;
-        if let Some(&Block {
-            size: nsize,
-            free: true,
-        }) = self.blocks.get(&next)
-        {
-            self.blocks.remove(&next);
-            self.index.remove(next, nsize);
-            self.index.resize(start, size, size + nsize);
-            size += nsize;
-            self.blocks.get_mut(&start).expect("block exists").size = size;
+        if next_size.is_some() {
             self.counts.coalesces += 1;
             if self.rover == next {
                 self.rover = start;
             }
         }
-        // Coalesce with the previous block.
-        if let Some((
-            &paddr,
-            &Block {
-                size: psize,
-                free: true,
-            },
-        )) = self.blocks.range(..start).next_back()
-        {
-            if paddr + psize == start {
-                self.blocks.remove(&start);
-                self.index.remove(start, size);
-                self.index.resize(paddr, psize, psize + size);
-                self.blocks.get_mut(&paddr).expect("block exists").size = psize + size;
-                self.counts.coalesces += 1;
-                if self.rover == start {
-                    self.rover = paddr;
-                }
-                start = paddr;
+        if let Some((paddr, _)) = prev {
+            self.counts.coalesces += 1;
+            if self.rover == start {
+                self.rover = paddr;
             }
         }
-        let _ = start;
     }
 
     /// Current heap extent in bytes.
@@ -196,24 +202,20 @@ impl FirstFit {
         &self.counts
     }
 
-    /// Work counters of the free-block index (no linear-scan
+    /// Work counters of the free-block tree (no linear-scan
     /// counterpart; exported as `lifepred_sim_*` metrics).
     pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
+        self.free.stats()
     }
 
     /// Number of currently allocated blocks.
     pub fn live_blocks(&self) -> usize {
-        self.blocks.values().filter(|b| !b.free).count()
+        self.live.len()
     }
 
     /// Bytes in allocated blocks, headers included.
     pub fn live_bytes(&self) -> u64 {
-        self.blocks
-            .values()
-            .filter(|b| !b.free)
-            .map(|b| b.size)
-            .sum()
+        self.live.values().sum()
     }
 
     pub(crate) fn block_size(size: u32) -> u64 {
@@ -223,88 +225,68 @@ impl FirstFit {
     }
 
     /// First-fit search from the roving pointer, wrapping once — the
-    /// indexed answer to the paper's linear scan.
+    /// indexed answer to the paper's linear scan. Returns the found
+    /// block as `(addr, size)`.
     ///
     /// `search_steps` is charged with the number of free blocks the
     /// linear scan *would have examined*: every free block from the
     /// rover up to and including the found block (wrapping through the
     /// heap top), or every free block when nothing fits. Both figures
-    /// fall out of order statistics over the free-block addresses, so
-    /// the Table 9 instruction model sees exactly the seed's numbers.
-    fn search(&mut self, need: u64) -> Option<u64> {
+    /// fall out of rank queries over the free-block addresses, so the
+    /// Table 9 instruction model sees exactly the seed's numbers.
+    fn search(&mut self, need: u64) -> Option<(u64, u64)> {
         let rover = self.rover;
-        let (found, wrapped) = match self.index.find_at_or_after(rover, need) {
+        let (found, wrapped) = match self.free.find_at_or_after(rover, need) {
             Some(hit) => (Some(hit), false),
             // Nothing at or above the rover fits; wrap to the base.
             // (A fitting block above the rover cannot exist, so the
             // unbounded second probe finds only below-rover blocks.)
-            None => (self.index.find_at_or_after(self.base, need), true),
+            None => (self.free.find_at_or_after(self.base, need), true),
         };
-        match found {
-            Some((addr, _size)) => {
-                let examined = if wrapped {
-                    // All free blocks at/above the rover failed, then
-                    // the linear scan re-starts at the base.
-                    (self.index.len() - self.index.rank(rover)) + self.index.rank(addr) + 1
-                } else {
-                    // Free blocks in [rover, addr].
-                    self.index.rank(addr) + 1 - self.index.rank(rover)
-                };
-                self.counts.search_steps += examined as u64;
-                Some(addr)
-            }
-            None => {
-                // The linear scan examines every free block once
-                // before giving up and growing the heap.
-                self.counts.search_steps += self.index.len() as u64;
-                None
-            }
-        }
+        let examined = match found {
+            // All free blocks at/above the rover failed, then the
+            // linear scan re-starts at the base.
+            Some((_, _, rank)) if wrapped => self.free.len() - self.free.rank(rover) + rank + 1,
+            // Free blocks in [rover, addr].
+            Some((_, _, rank)) => rank + 1 - self.free.rank(rover),
+            // The linear scan examines every free block once before
+            // giving up and growing the heap.
+            None => self.free.len(),
+        };
+        self.counts.search_steps += examined as u64;
+        found.map(|(addr, size, _)| (addr, size))
     }
 
-    /// Allocates `need` bytes from the free block at `addr`, splitting
-    /// if the remainder is usable.
-    fn place(&mut self, addr: u64, need: u64) -> Addr {
-        let block = self.blocks[&addr];
-        debug_assert!(block.free && block.size >= need);
-        self.index.remove(addr, block.size);
-        if block.size - need >= MIN_SPLIT {
-            self.blocks.insert(
-                addr + need,
-                Block {
-                    size: block.size - need,
-                    free: true,
-                },
-            );
-            self.index.insert(addr + need, block.size - need);
-            self.blocks.insert(
-                addr,
-                Block {
-                    size: need,
-                    free: false,
-                },
-            );
+    /// Allocates `need` bytes from the free block `[addr, addr + size)`,
+    /// splitting if the remainder is usable.
+    fn place(&mut self, addr: u64, size: u64, need: u64) -> Addr {
+        debug_assert!(size >= need);
+        let end = if size - need >= MIN_SPLIT {
+            // The remainder keeps the block's place in address order.
+            self.free.update(addr, addr + need, size - need);
             self.counts.splits += 1;
+            addr + need
         } else {
-            self.blocks.get_mut(&addr).expect("block exists").free = false;
-        }
-        // Resume the next search after this block.
-        self.rover = addr + need;
-        if self.blocks.range(self.rover..).next().is_none() {
-            self.rover = self.base;
-        }
+            self.free.remove(addr);
+            addr + size
+        };
+        self.live.insert(addr, end - addr);
+        // Resume the next search after this block, or at the base when
+        // no block starts above it.
+        self.rover = if end == self.brk {
+            self.base
+        } else {
+            addr + need
+        };
         Addr(addr + HEADER)
     }
 
     /// Extends the heap until its topmost free block holds `need`
-    /// bytes, returning that block's address.
-    fn grow_for(&mut self, need: u64) -> u64 {
+    /// bytes, returning that block as `(addr, size)`.
+    fn grow_for(&mut self, need: u64) -> (u64, u64) {
         // Is the topmost block free? Then extend it, else append.
-        let top = self.blocks.iter().next_back().map(|(&a, b)| (a, *b));
-        let (start, existing) = match top {
-            Some((addr, block)) if block.free && addr + block.size == self.brk => {
-                (addr, block.size)
-            }
+        let (start, existing) = match self.free.neighbours(self.brk).0 {
+            Some((addr, size)) if addr + size == self.brk => (addr, size),
             _ => (self.brk, 0),
         };
         let missing = need - existing;
@@ -312,48 +294,49 @@ impl FirstFit {
         self.counts.page_grows += grow / PAGE;
         self.brk += grow;
         self.max_brk = self.max_brk.max(self.brk);
-        self.blocks.insert(
-            start,
-            Block {
-                size: existing + grow,
-                free: true,
-            },
-        );
         if existing > 0 {
-            self.index.resize(start, existing, existing + grow);
+            self.free.update(start, start, existing + grow);
         } else {
-            self.index.insert(start, grow);
+            self.free.insert(start, grow);
         }
-        start
+        (start, existing + grow)
     }
 
     /// Verifies the structural invariants of the heap; used by tests.
     ///
     /// # Panics
     ///
-    /// Panics if blocks do not exactly tile `[base, brk)`, two free
-    /// blocks are adjacent, or the free-block index disagrees with the
-    /// boundary-tag map.
+    /// Panics if a free-tree node's annotations disagree with a
+    /// from-scratch recount, live and free blocks do not exactly tile
+    /// `[base, brk)`, two free blocks are adjacent, or the rover lies
+    /// outside the heap.
     pub fn check_invariants(&self) {
+        let mut blocks: Vec<(u64, u64, bool)> = self
+            .free
+            .check()
+            .into_iter()
+            .map(|(addr, size)| (addr, size, true))
+            .chain(self.live.iter().map(|(&addr, &size)| (addr, size, false)))
+            .collect();
+        blocks.sort_unstable();
         let mut expected = self.base;
         let mut prev_free = false;
-        for (&addr, block) in &self.blocks {
+        for (addr, size, free) in blocks {
             assert_eq!(addr, expected, "gap or overlap at 0x{addr:x}");
-            assert!(block.size > 0, "empty block at 0x{addr:x}");
+            assert!(size > 0, "empty block at 0x{addr:x}");
             assert!(
-                !(prev_free && block.free),
+                !(prev_free && free),
                 "uncoalesced free blocks at 0x{addr:x}"
             );
-            prev_free = block.free;
-            expected = addr + block.size;
+            prev_free = free;
+            expected = addr + size;
         }
         assert_eq!(expected, self.brk, "blocks do not reach brk");
         assert!(self.max_brk >= self.brk);
-        self.index.check_consistency(
-            self.blocks
-                .iter()
-                .filter(|(_, b)| b.free)
-                .map(|(&a, b)| (a, b.size)),
+        assert!(
+            (self.base..=self.brk).contains(&self.rover),
+            "rover 0x{:x} outside the heap",
+            self.rover
         );
     }
 }
@@ -374,7 +357,7 @@ mod tests {
         h.check_invariants();
         assert_eq!(h.live_blocks(), 0);
         // Everything coalesced back into one block.
-        assert_eq!(h.blocks.len(), 1);
+        assert_eq!(h.free.len(), 1);
     }
 
     #[test]
@@ -468,7 +451,7 @@ mod tests {
         let mut h = FirstFit::new();
         let a = h.alloc(100);
         h.free(a);
-        let _ = h.alloc(100); // served from the index
+        let _ = h.alloc(100); // served from the tree
         let stats = h.index_stats();
         assert!(stats.bin_hits >= 1, "{stats:?}");
         assert!(stats.bitmap_scans >= 1, "{stats:?}");

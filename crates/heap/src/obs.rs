@@ -36,12 +36,15 @@ pub struct ReplayObs {
     /// `lifepred_sim_epochs` — one sample per online-learner epoch
     /// tick (empty for the offline replays).
     pub timeline: Arc<EpochTimeline>,
-    /// `lifepred_sim_index_bin_hits_total` — free-index searches
-    /// answered from a size-class bin (first-fit heaps only; zero for
-    /// the BSD replay).
+    /// `lifepred_sim_index_bin_hits_total` — free-block tree searches
+    /// that found a fitting block (first-fit heaps only; zero for the
+    /// BSD replay). The name predates the tree, which replaced the
+    /// size-class bins.
     pub index_bin_hits_total: Arc<Counter>,
-    /// `lifepred_sim_index_bitmap_scans_total` — occupancy-bitmap
-    /// probes performed by the free index.
+    /// `lifepred_sim_index_bitmap_scans_total` — free-block tree
+    /// searches issued: one per first-fit allocation, two when the
+    /// search wraps to the heap base. The name predates the tree,
+    /// which replaced the occupancy bitmap.
     pub index_bitmap_scans_total: Arc<Counter>,
     /// `lifepred_sim_batch_refills_total` — event-chunk refills the
     /// replay loop consumed (one per up-to-4096-event batch).

@@ -4,11 +4,11 @@
 //! [`LinearFirstFit`] is the paper-faithful O(free blocks) roving scan
 //! that [`FirstFit`](crate::FirstFit) replaced with an indexed search.
 //! It exists so the equivalence claim stays *testable* forever:
-//! `tests/differential.rs` replays randomized traces and all five
-//! workload traces through both implementations and asserts identical
-//! placements, [`OpCounts`] and high-water marks, and
+//! `tests/differential.rs` replays randomized traces and the traces of
+//! all six workload families through both implementations and asserts
+//! identical placements, [`OpCounts`] and high-water marks, and
 //! `benches/replay.rs` uses it as the "before" side of the recorded
-//! speedup. It is not part of the simulation API proper — use
+//! speedups. It is not part of the simulation API proper — use
 //! [`FirstFit`](crate::FirstFit).
 
 use crate::counts::OpCounts;

@@ -2,12 +2,12 @@
 //! identical to the seed's linear scan ([`LinearFirstFit`]).
 //!
 //! Both heaps are driven in lockstep — randomized operation scripts
-//! (including invalid frees) plus the event streams of all five
-//! workload traces — asserting, operation by operation, identical
+//! (including invalid frees) plus the event streams of all six
+//! workload families — asserting, operation by operation, identical
 //! placements, and at the end identical [`OpCounts`] (`search_steps`
 //! included, the Table 9 cost-model input) and `max_heap_bytes` (the
-//! Table 8 measure). Any divergence in the index's answer, in the
-//! order-statistic `search_steps` reconstruction, or in the
+//! Table 8 measure). Any divergence in the free-block tree's answer,
+//! in the rank-based `search_steps` reconstruction, or in the
 //! invalid-free handling fails here.
 
 use lifepred_heap::reference::LinearFirstFit;
@@ -90,14 +90,20 @@ fn diff_replay(trace: &Trace) {
     step.finish();
 }
 
-/// All five workload traces (the paper's suite) replay identically —
-/// the acceptance gate of the indexed search. Training inputs keep
-/// this affordable; the randomized scripts below cover the shapes the
+/// Every workload family replays identically: the paper's five
+/// programs and the `server` churn the indexed search exists for. This
+/// is the acceptance gate of the indexed search. Training inputs keep
+/// it affordable; the randomized scripts below cover the shapes the
 /// workloads do not reach.
 #[test]
-fn all_five_workload_traces_replay_identically() {
+fn all_workload_traces_replay_identically() {
     let workloads = all_workloads();
-    assert_eq!(workloads.len(), 5, "the paper's suite has five programs");
+    let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
+    assert_eq!(
+        names,
+        ["cfrac", "espresso", "gawk", "ghost", "perl", "server"],
+        "the paper's five programs plus the server family"
+    );
     for w in workloads {
         let registry = shared_registry();
         let trace = record(w.as_ref(), 0, registry);
