@@ -175,6 +175,11 @@ impl SiteEntry {
             epoch_long: 0,
         }
     }
+
+    /// Whether the site has had a free or a long lifetime this epoch.
+    fn active(&self) -> bool {
+        self.epoch_frees > 0 || self.epoch_long > 0
+    }
 }
 
 /// The online self-correcting lifetime predictor.
@@ -218,6 +223,10 @@ pub struct OnlineLearner {
     /// snapshots detect staleness with one integer compare.
     generation: u64,
     sites: HashMap<u64, SiteEntry>,
+    /// Keys of the sites active this epoch, each listed once: the only
+    /// entries whose epoch counters are non-zero, so the only ones the
+    /// epoch end has to visit.
+    active: Vec<u64>,
     stats: LearnerStats,
 }
 
@@ -236,6 +245,7 @@ impl OnlineLearner {
             next_epoch_at: config.epoch_bytes,
             generation: 0,
             sites: HashMap::new(),
+            active: Vec::new(),
             stats: LearnerStats::default(),
         }
     }
@@ -327,6 +337,9 @@ impl OnlineLearner {
             .sites
             .entry(key)
             .or_insert_with(|| SiteEntry::new(quantile));
+        if !entry.active() {
+            self.active.push(key);
+        }
         entry.epoch_frees += 1;
         entry.tail.observe(lifetime as f64);
         if long {
@@ -352,6 +365,9 @@ impl OnlineLearner {
             .sites
             .entry(key)
             .or_insert_with(|| SiteEntry::new(quantile));
+        if !entry.active() {
+            self.active.push(key);
+        }
         entry.epoch_long += 1;
         if entry.phase == Phase::Short {
             Self::demote(entry, quantile, &mut self.stats, &mut self.generation);
@@ -373,6 +389,9 @@ impl OnlineLearner {
             .sites
             .entry(key)
             .or_insert_with(|| SiteEntry::new(quantile));
+        if !entry.active() && (agg.frees > 0 || agg.long_frees > 0) {
+            self.active.push(key);
+        }
         entry.epoch_frees += agg.frees;
         entry.epoch_long += agg.long_frees;
         for &lifetime in &agg.samples {
@@ -422,44 +441,51 @@ impl OnlineLearner {
     }
 
     /// Applies the per-epoch all-short rule to every active site.
+    ///
+    /// Only the sites listed active are visited: every other site's
+    /// epoch counters are already zero, and the rule leaves a site
+    /// with no free and no long lifetime untouched. Each visit changes
+    /// only its own entry plus order-independent counts, so the list's
+    /// order does not matter.
     fn end_epoch(&mut self) {
         let cfg = self.config;
-        for entry in self.sites.values_mut() {
-            let active = entry.epoch_frees > 0 || entry.epoch_long > 0;
-            if active {
-                if entry.epoch_long > 0 {
-                    // Dirty epoch: the streak restarts. (A mispredicted
-                    // Short site was already demoted on the spot; this
-                    // also catches batched feedback.)
-                    entry.clean_run = 0;
-                    entry.tail = P2Quantile::new(cfg.tail_quantile);
-                    if entry.phase == Phase::Short {
-                        entry.phase = Phase::Demoted;
-                        self.stats.demotions += 1;
+        for key in self.active.drain(..) {
+            let entry = self
+                .sites
+                .get_mut(&key)
+                .expect("an active site has an entry");
+            if entry.epoch_long > 0 {
+                // Dirty epoch: the streak restarts. (A mispredicted
+                // Short site was already demoted on the spot; this
+                // also catches batched feedback.)
+                entry.clean_run = 0;
+                entry.tail = P2Quantile::new(cfg.tail_quantile);
+                if entry.phase == Phase::Short {
+                    entry.phase = Phase::Demoted;
+                    self.stats.demotions += 1;
+                    self.generation += 1;
+                }
+            } else if entry.epoch_frees >= cfg.min_epoch_frees {
+                // Clean epoch: every free died short.
+                entry.clean_run = entry.clean_run.saturating_add(1);
+                let tail_ok =
+                    entry.tail.count() < 5 || entry.tail.estimate() < cfg.threshold as f64;
+                let needed = match entry.phase {
+                    Phase::Observing => Some(cfg.promote_epochs),
+                    Phase::Demoted => Some(cfg.requalify_epochs),
+                    Phase::Short => None,
+                };
+                if let Some(needed) = needed {
+                    if entry.clean_run >= needed && tail_ok {
+                        entry.phase = Phase::Short;
+                        entry.clean_run = 0;
+                        self.stats.promotions += 1;
                         self.generation += 1;
                     }
-                } else if entry.epoch_frees >= cfg.min_epoch_frees {
-                    // Clean epoch: every free died short.
-                    entry.clean_run = entry.clean_run.saturating_add(1);
-                    let tail_ok =
-                        entry.tail.count() < 5 || entry.tail.estimate() < cfg.threshold as f64;
-                    let needed = match entry.phase {
-                        Phase::Observing => Some(cfg.promote_epochs),
-                        Phase::Demoted => Some(cfg.requalify_epochs),
-                        Phase::Short => None,
-                    };
-                    if let Some(needed) = needed {
-                        if entry.clean_run >= needed && tail_ok {
-                            entry.phase = Phase::Short;
-                            entry.clean_run = 0;
-                            self.stats.promotions += 1;
-                            self.generation += 1;
-                        }
-                    }
                 }
-                // else: a trickle under min_epoch_frees — no evidence
-                // either way.
             }
+            // else: a trickle under min_epoch_frees — no evidence
+            // either way.
             entry.epoch_frees = 0;
             entry.epoch_long = 0;
         }

@@ -950,11 +950,35 @@ mod tests {
         assert!(err.contains("32"), "error should echo the value: {err}");
     }
 
-    // The from_env tests mutate process-global environment state, so
-    // they run as one test (and no sibling test reads the variable)
-    // to avoid racing parallel test threads.
+    /// Set in the child process that runs the environment test alone.
+    const ENV_TEST_ALONE: &str = "LIFEPRED_ARENAS_TEST_ALONE";
+
+    // The from_env checks mutate process-global environment state that
+    // sibling tests read (every `with_database` heap parses
+    // `LIFEPRED_ARENAS` at construction), so they run as one test, in
+    // a child process of this test binary where nothing else runs.
     #[test]
     fn from_env_is_loud_about_set_but_broken_values() {
+        if std::env::var_os(ENV_TEST_ALONE).is_none() {
+            let exe = std::env::current_exe().expect("test binary path");
+            let out = std::process::Command::new(exe)
+                .args([
+                    "runtime::tests::from_env_is_loud_about_set_but_broken_values",
+                    "--exact",
+                    "--test-threads=1",
+                ])
+                .env(ENV_TEST_ALONE, "1")
+                .output()
+                .expect("spawn the from_env child");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "from_env child failed ({}):\n{stdout}{}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
         std::env::remove_var(ARENA_ENV);
         assert_eq!(RuntimeArenaConfig::from_env(), Ok(None));
 

@@ -17,6 +17,12 @@
 //!    agree on every observable (`OpCounts` including `search_steps`,
 //!    `max_heap_bytes`) before any timing, so the speedup is measured
 //!    between *provably equivalent* implementations.
+//!    The same seeded `server` trace also races the two predicting
+//!    backends (**online_server**): the self-training online learner
+//!    against the offline arena driven by a predictor trained on that
+//!    trace, replay only (the per-object site pass runs once, outside
+//!    the timing). The learner's bookkeeping must cost at most
+//!    [`ONLINE_CEILING`] times the arena's ns/event.
 //! 3. **simulate** — the end-to-end `lifepred simulate` pipeline
 //!    (records → prediction bitmap, events → chunked arena replay)
 //!    over several trace images, fanned out with
@@ -44,13 +50,14 @@
 //! `LIFEPRED_BENCH_SMOKE=1` (or pass `--test`) for the short CI smoke
 //! run that leaves the recorded results untouched.
 
+use lifepred_adaptive::EpochConfig;
 use lifepred_core::{
     train, Profile, ShortLivedSet, SiteConfig, SiteExtractor, TrainConfig, DEFAULT_THRESHOLD,
 };
 use lifepred_heap::reference::LinearFirstFit;
 use lifepred_heap::{
-    replay_arena_chunks, replay_firstfit_chunks, Addr, FirstFit, OpCounts, ReplayConfig,
-    ReplayMeta, ReplayReport,
+    replay_arena_chunks, replay_arena_online_chunks, replay_firstfit_chunks, Addr, FirstFit,
+    OpCounts, ReplayConfig, ReplayMeta, ReplayReport,
 };
 use lifepred_trace::{
     ChunkSource, EventChunk, EventKind, Trace, TraceSession, POOLED_CHUNK_EVENTS,
@@ -94,6 +101,13 @@ const FF_SERVER_ROUNDS: usize = 9;
 /// The indexed heap must replay the server trace at least this many
 /// times as fast as the linear scan.
 const FF_SERVER_FLOOR: f64 = 1.0;
+
+/// Paired rounds for the online-vs-arena row on the server trace.
+const ONLINE_ROUNDS: usize = 9;
+
+/// The online backend may replay the server trace at most this many
+/// times the offline arena's ns/event.
+const ONLINE_CEILING: f64 = 1.5;
 
 /// Share of a floor that a smoke run must reach: smoke runs are a few
 /// milliseconds long on shared CI runners, so they get slack.
@@ -213,15 +227,49 @@ fn frag_workload(keepers: usize, churn: usize) -> Trace {
     s.finish()
 }
 
-/// The seeded `server` trace of the real-traffic firstfit row.
-fn server_trace(events: u64) -> Trace {
+/// The `.lpt` image of the seeded `server` trace of the real-traffic
+/// rows.
+fn server_image(events: u64) -> Vec<u8> {
     let config = SimConfig::for_events(events, FF_SERVER_SEED);
     let (_, image) =
         generate_lpt(&config, std::io::Cursor::new(Vec::new())).expect("generate server trace");
-    TraceReader::new(image.into_inner().as_slice())
-        .expect("trace header")
-        .read_trace()
-        .expect("server trace")
+    image.into_inner()
+}
+
+/// Replays the mapped server trace through the offline arena driven by
+/// `db` and through the online learner, paired round by round. Returns
+/// median seconds for each and the median per-round online/arena time
+/// ratio.
+fn online_race(path: &Path, db: &ShortLivedSet, rounds: usize) -> (f64, f64, f64) {
+    let mapped = MappedTrace::open(path).expect("mapped open");
+    let meta = ReplayMeta {
+        program: mapped.name().to_owned(),
+        function_calls: mapped.stats().function_calls,
+    };
+    // The per-object site pass `simulate` runs before either replay.
+    let mut extractor = SiteExtractor::from_chains(mapped.chain_table(), *db.config());
+    let (mut predicted, mut sites) = (Vec::new(), Vec::new());
+    for record in mapped.records().expect("records section") {
+        let site = extractor.site_of(&record.expect("record"));
+        predicted.push(db.predicts(&site));
+        sites.push(site.fingerprint());
+    }
+    let epoch = EpochConfig::for_threshold(DEFAULT_THRESHOLD, None);
+    let cfg = ReplayConfig::default();
+    let (t_arena, t_online, arena_over_online) = paired_speedup(
+        rounds,
+        || {
+            let report = replay_arena_chunks(&meta, mapped.events(), &predicted, &cfg)
+                .expect("arena replay");
+            std::hint::black_box(report);
+        },
+        || {
+            let report = replay_arena_online_chunks(&meta, mapped.events(), &sites, &epoch, &cfg)
+                .expect("online replay");
+            std::hint::black_box(report);
+        },
+    );
+    (t_arena, t_online, 1.0 / arena_over_online)
 }
 
 /// The two first-fit heaps under comparison.
@@ -479,19 +527,40 @@ fn main() {
     let frag = frag_workload(keepers, churn);
     let ff_events = frag.events().len() as u64;
     let (t_linear, t_indexed, ff_speedup) = firstfit_race("lattice", &frag, rounds(FF_ROUNDS));
-    let ff_server = server_trace(if smoke() {
+    let ff_server_image = server_image(if smoke() {
         FF_SERVER_EVENTS / 10
     } else {
         FF_SERVER_EVENTS
     });
+    let ff_server = TraceReader::new(ff_server_image.as_slice())
+        .expect("trace header")
+        .read_trace()
+        .expect("server trace");
     let ffs_events = ff_server.events().len() as u64;
     let (t_ffs_linear, t_ffs_indexed, ffs_speedup) =
         firstfit_race("server", &ff_server, rounds(FF_SERVER_ROUNDS));
+    let ff_server_db = train(
+        &Profile::build(&ff_server, &SiteConfig::default(), DEFAULT_THRESHOLD),
+        &TrainConfig::default(),
+    );
     drop(ff_server);
     let ffs_floor = if smoke() {
         FF_SERVER_FLOOR * SMOKE_TOLERANCE
     } else {
         FF_SERVER_FLOOR
+    };
+
+    // --- online_server: online learner vs offline arena -----------------
+    let online_path = temp_path("online-server");
+    std::fs::write(&online_path, &ff_server_image).expect("write server trace");
+    drop(ff_server_image);
+    let (t_os_arena, t_os_online, online_ratio) =
+        online_race(&online_path, &ff_server_db, rounds(ONLINE_ROUNDS));
+    std::fs::remove_file(&online_path).ok();
+    let online_ceiling = if smoke() {
+        ONLINE_CEILING / SMOKE_TOLERANCE
+    } else {
+        ONLINE_CEILING
     };
 
     // --- simulate: end-to-end pipeline scaling over --jobs --------------
@@ -603,6 +672,14 @@ fn main() {
              \"speedup\": {ffs_speedup:.2},\n    \
              \"floor\": {FF_SERVER_FLOOR}\n  \
            }},\n  \
+           \"online_server\": {{\n    \
+             \"events\": {ffs_events},\n    \
+             \"seed\": {FF_SERVER_SEED},\n    \
+             \"arena_ns_per_event\": {os_arena_ns:.1},\n    \
+             \"online_ns_per_event\": {os_online_ns:.1},\n    \
+             \"ratio\": {online_ratio:.2},\n    \
+             \"ceiling\": {ONLINE_CEILING}\n  \
+           }},\n  \
            \"simulate\": {{\n    \
              \"traces\": {SIM_TRACES},\n    \
              \"events_per_trace\": {n_events},\n    \
@@ -634,6 +711,8 @@ fn main() {
         indexed_rate = ff_events as f64 / t_indexed,
         ffs_linear_ns = t_ffs_linear * 1e9 / ffs_events as f64,
         ffs_indexed_ns = t_ffs_indexed * 1e9 / ffs_events as f64,
+        os_arena_ns = t_os_arena * 1e9 / ffs_events as f64,
+        os_online_ns = t_os_online * 1e9 / ffs_events as f64,
         gen_rate = scale_events as f64 / gen_secs,
         scale_iter_rate = scale_events as f64 / t_scale_iter,
         scale_mapped_rate = scale_events as f64 / t_scale_mapped,
@@ -661,6 +740,12 @@ fn main() {
          indexed ({ffs_speedup:.2}x, floor {ffs_floor:.2}x)",
         t_ffs_linear * 1e9 / ffs_events as f64,
         t_ffs_indexed * 1e9 / ffs_events as f64,
+    );
+    println!(
+        "online:   server trace ({ffs_events} events): {:.0} ns/event arena, {:.0} ns/event \
+         online ({online_ratio:.2}x, ceiling {online_ceiling:.2}x)",
+        t_os_arena * 1e9 / ffs_events as f64,
+        t_os_online * 1e9 / ffs_events as f64,
     );
     println!(
         "simulate: {SIM_TRACES} traces in {t_jobs1:.3}s @ jobs=1, {t_jobs2:.3}s @ jobs=2 \
@@ -699,6 +784,14 @@ fn main() {
         ffs_speedup >= ffs_floor,
         "indexed first-fit is {ffs_speedup:.2}x the linear scan on the server trace, \
          below the {ffs_floor:.2}x floor"
+    );
+    // Online ceiling: the learner's epoch bookkeeping must stay a
+    // bounded share of the replay. Always enforced; smoke runs get
+    // SMOKE_TOLERANCE slack.
+    assert!(
+        online_ratio <= online_ceiling,
+        "the online backend replays the server trace at {online_ratio:.2}x the offline \
+         arena's ns/event, above the {online_ceiling:.2}x ceiling"
     );
     // Scaling floor: on a machine with the cores to show it, `--jobs 4`
     // must be at least 1.3x faster than sequential. Advisory by

@@ -51,8 +51,8 @@ use lifepred_sweep::{
     diff_reports, install_shutdown_handlers, render_csv, render_json, render_table, run_sweep,
     CancelFlag, GridSpec, ResultStore, Server, ServerConfig, SweepOptions,
 };
-use lifepred_trace::{shared_registry, AllocationRecord, Trace};
-use lifepred_tracefile::{load_trace, save_trace, MappedTrace, TraceFileError, TraceReader};
+use lifepred_trace::{shared_registry, AllocationRecord};
+use lifepred_tracefile::{save_trace, MappedTrace, TraceFileError, TraceReader};
 use lifepred_workloads::server::sim::SimConfig;
 use lifepred_workloads::server::synth::generate_lpt;
 use lifepred_workloads::{all_workloads, by_name, record as record_workload};
@@ -614,15 +614,25 @@ fn cmd_train(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         return Err("train: at least one trace file is required".to_owned());
     }
     let output = output.ok_or("train: -o is required")?;
-    let mut traces: Vec<Trace> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        traces.push(load_trace(path).map_err(|e| file_err(path, e))?);
-    }
     let config = SiteConfig {
         policy,
         size_rounding: rounding,
     };
-    let profile = Profile::build_many(traces.iter(), &config, threshold);
+    // Training reads only the records: each file is mapped (CRCs
+    // checked once at open) and its records stream straight into the
+    // profile, with no in-memory `Trace`.
+    let mut profile = Profile::new(&config, threshold);
+    for path in &paths {
+        let mapped = MappedTrace::open(path).map_err(|e| file_err(path, e))?;
+        let records = mapped.records().map_err(|e| file_err(path, e))?;
+        profile.absorb(
+            mapped.name(),
+            mapped.chain_table(),
+            mapped.end_clock(),
+            mapped.stats(),
+            records.map(|r| r.map_err(|e| file_err(path, e))),
+        )?;
+    }
     let db = train(
         &profile,
         &TrainConfig {

@@ -2,9 +2,10 @@
 //! simulate pipeline, cross-checks between the streaming and in-memory
 //! replay paths, and error handling on damaged inputs.
 
+use lifepred_core::{train, Profile, SiteConfig, SitePolicy, TrainConfig, DEFAULT_THRESHOLD};
 use lifepred_heap::{replay_arena, replay_bsd, replay_firstfit, ReplayConfig};
 use lifepred_trace::shared_registry;
-use lifepred_tracefile::load_trace;
+use lifepred_tracefile::{load_trace, MappedTrace};
 use lifepred_workloads::{by_name, record};
 use std::path::PathBuf;
 
@@ -398,6 +399,98 @@ fn corrupted_and_missing_files_error_cleanly() {
     let junk = dir.path("junk.json");
     std::fs::write(&junk, "{not json").expect("write");
     assert!(run(&["simulate", &trace, "--predictor", &junk]).is_err());
+
+    // `train` streams records straight off the mapped file, so damage
+    // inside the records section must surface as an error that names
+    // the file.
+    let bytes = std::fs::read(&trace).expect("read");
+    let mid_records = records_midpoint(&trace);
+    let cut = dir.path("cut.lpt");
+    std::fs::write(&cut, &bytes[..mid_records]).expect("write");
+    let pred = dir.path("p.json");
+    let err = run(&["train", &cut, "-o", &pred]).expect_err("truncated trace");
+    assert!(err.contains(&cut), "error must name the file: {err}");
+
+    // Two files, the second damaged mid-records: the error names the
+    // second file, not the first.
+    let mut flipped = bytes.clone();
+    flipped[mid_records] ^= 0x10;
+    let second = dir.path("second.lpt");
+    std::fs::write(&second, &flipped).expect("write");
+    let err = run(&["train", &trace, &second, "-o", &pred]).expect_err("bit-flipped second file");
+    assert!(
+        err.contains(&second),
+        "error must name the second file: {err}"
+    );
+    assert!(
+        !err.contains(&trace),
+        "error must not blame the first file: {err}"
+    );
+}
+
+/// A byte offset halfway into `path`'s records section. The records
+/// section is followed only by the framed events section, whose
+/// payload size the mapped trace reports.
+fn records_midpoint(path: &str) -> usize {
+    let mapped = MappedTrace::open(path).expect("open intact trace");
+    let [.., records, events] = mapped.sections();
+    assert_eq!((records.name, events.name), ("records", "events"));
+    let records_end = mapped.file_len() - events.payload_bytes as usize;
+    records_end - records.payload_bytes as usize / 2
+}
+
+/// `train` over the mapped path writes the same predictor as an
+/// in-memory profile of the same files loaded with `load_trace`.
+#[test]
+fn mapped_train_matches_in_memory_profile() {
+    let dir = Scratch::new("train-equiv");
+    let recorded = dir.path("cfrac-{}.lpt");
+    run(&[
+        "record",
+        "--workload",
+        "cfrac",
+        "--input",
+        "0",
+        "--input",
+        "1",
+        "-o",
+        &recorded,
+    ])
+    .expect("record");
+    let server = dir.path("server.lpt");
+    run(&["gen", "--events", "60k", "--seed", "3", "-o", &server]).expect("gen");
+    let cfrac = [dir.path("cfrac-0.lpt"), dir.path("cfrac-1.lpt")];
+    let cases: [(&[String], SitePolicy); 3] = [
+        (&cfrac, SitePolicy::Complete),
+        (&cfrac, SitePolicy::LastN(2)),
+        (std::slice::from_ref(&server), SitePolicy::Complete),
+    ];
+    for (paths, policy) in cases {
+        let pred = dir.path("pred.json");
+        let policy_arg = policy.to_string();
+        let mut args = vec![
+            "train",
+            "-o",
+            pred.as_str(),
+            "--policy",
+            policy_arg.as_str(),
+        ];
+        args.extend(paths.iter().map(String::as_str));
+        run(&args).expect("train");
+        let mapped_json = std::fs::read_to_string(&pred).expect("read pred.json");
+
+        let traces: Vec<_> = paths
+            .iter()
+            .map(|p| load_trace(p).expect("load trace"))
+            .collect();
+        let config = SiteConfig {
+            policy,
+            ..SiteConfig::default()
+        };
+        let profile = Profile::build_many(traces.iter(), &config, DEFAULT_THRESHOLD);
+        let db = train(&profile, &TrainConfig::default());
+        assert_eq!(mapped_json, db.to_json(), "{paths:?} under {policy}");
+    }
 }
 
 #[test]

@@ -9,8 +9,10 @@
 //!    always combined with the (rounded) object size unless the
 //!    size-only policy is selected.
 //! 2. [`Profile::build`] scans a training [`Trace`](lifepred_trace::Trace)
-//!    and accumulates per-site lifetime statistics, including a P²
-//!    quantile histogram per site and for the whole program.
+//!    (or [`Profile::absorb`] streams its records) and accumulates
+//!    per-site lifetime statistics (exact maximum lifetime, short-lived
+//!    counts) plus the program-wide byte-weighted lifetime
+//!    distribution behind Table 3's P² quantile histogram.
 //! 3. [`train`] applies the paper's *all-short* rule — a site enters
 //!    the short-lived database only if **every** object it allocated
 //!    lived less than the threshold (32 KB by default) — producing a

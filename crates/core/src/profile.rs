@@ -2,9 +2,9 @@
 
 use crate::lifetimes::LifetimeDistribution;
 use crate::site::{SiteConfig, SiteExtractor, SiteKey};
-use lifepred_quantile::P2Histogram;
-use lifepred_trace::Trace;
+use lifepred_trace::{AllocationRecord, ChainTable, Trace, TraceStats};
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Lifetime statistics accumulated for one allocation site.
 #[derive(Debug, Clone)]
@@ -22,9 +22,6 @@ pub struct SiteStats {
     pub short_bytes: u64,
     /// Heap references to objects from this site.
     pub refs: u64,
-    /// P² quantile histogram of per-object lifetimes at this site —
-    /// the structure the paper keeps per site.
-    pub histogram: P2Histogram,
 }
 
 impl SiteStats {
@@ -36,7 +33,6 @@ impl SiteStats {
             short_objects: 0,
             short_bytes: 0,
             refs: 0,
-            histogram: P2Histogram::quartiles(),
         }
     }
 
@@ -75,6 +71,8 @@ impl SiteStats {
 #[derive(Debug, Clone)]
 pub struct Profile {
     program: String,
+    /// Traces absorbed so far; their names make up `program`.
+    traces: usize,
     config: SiteConfig,
     threshold: u64,
     sites: HashMap<SiteKey, SiteStats>,
@@ -92,9 +90,7 @@ impl Profile {
     /// 32 KB); it determines the `short_*` counters and must match the
     /// threshold later passed to training.
     pub fn build(trace: &Trace, config: &SiteConfig, threshold: u64) -> Profile {
-        let mut profile = Profile::blank(config, threshold);
-        profile.absorb(trace);
-        profile
+        Profile::build_many([trace], config, threshold)
     }
 
     /// Builds one merged profile over several training traces — the
@@ -113,20 +109,27 @@ impl Profile {
         config: &SiteConfig,
         threshold: u64,
     ) -> Profile {
-        let mut profile = Profile::blank(config, threshold);
-        let mut names = Vec::new();
+        let mut profile = Profile::new(config, threshold);
         for trace in traces {
-            profile.absorb(trace);
-            names.push(trace.name().to_owned());
+            let records = trace.records().iter().cloned().map(Ok);
+            let absorbed: Result<(), Infallible> = profile.absorb(
+                trace.name(),
+                trace.chains(),
+                trace.end_clock(),
+                trace.stats(),
+                records,
+            );
+            let Ok(()) = absorbed;
         }
-        assert!(!names.is_empty(), "build_many needs at least one trace");
-        profile.program = names.join("+");
+        assert!(profile.traces > 0, "build_many needs at least one trace");
         profile
     }
 
-    fn blank(config: &SiteConfig, threshold: u64) -> Profile {
+    /// An empty profile, to be fed traces with [`Profile::absorb`].
+    pub fn new(config: &SiteConfig, threshold: u64) -> Profile {
         Profile {
             program: String::new(),
+            traces: 0,
             config: *config,
             threshold,
             sites: HashMap::new(),
@@ -138,19 +141,35 @@ impl Profile {
         }
     }
 
-    /// Accumulates one trace's records into this profile.
-    fn absorb(&mut self, trace: &Trace) {
-        let mut extractor = SiteExtractor::new(trace, self.config);
-        let end = trace.end_clock();
-        for record in trace.records() {
-            let key = extractor.site_of(record);
-            let lifetime = record.lifetime(end);
+    /// Accumulates one trace's records into this profile, streamed
+    /// from any source that can fail mid-way (e.g. a mapped `.lpt`
+    /// file, decoded record by record): `chains` is the trace's chain
+    /// table, `end_clock` its final byte clock (the lifetime charged
+    /// to never-freed objects) and `stats` its totals. The program
+    /// name becomes the absorbed traces' names joined by `+`.
+    ///
+    /// # Errors
+    ///
+    /// The first error `records` yields; the records before it stay
+    /// absorbed.
+    pub fn absorb<E>(
+        &mut self,
+        program: &str,
+        chains: &ChainTable,
+        end_clock: u64,
+        stats: &TraceStats,
+        records: impl IntoIterator<Item = Result<AllocationRecord, E>>,
+    ) -> Result<(), E> {
+        let mut extractor = SiteExtractor::from_chains(chains, self.config);
+        for record in records {
+            let record = record?;
+            let key = extractor.site_of(&record);
+            let lifetime = record.lifetime(end_clock);
             let stats = self.sites.entry(key).or_insert_with(SiteStats::new);
             stats.objects += 1;
             stats.bytes += u64::from(record.size);
             stats.max_lifetime = stats.max_lifetime.max(lifetime);
             stats.refs += record.refs;
-            stats.histogram.observe(lifetime as f64);
             if lifetime < self.threshold {
                 stats.short_objects += 1;
                 stats.short_bytes += u64::from(record.size);
@@ -159,9 +178,14 @@ impl Profile {
             }
             self.lifetimes.observe(lifetime, record.size);
         }
-        self.program = trace.name().to_owned();
-        self.total_bytes += trace.stats().total_bytes;
-        self.total_objects += trace.stats().total_objects;
+        if self.traces > 0 {
+            self.program.push('+');
+        }
+        self.program.push_str(program);
+        self.traces += 1;
+        self.total_bytes += stats.total_bytes;
+        self.total_objects += stats.total_objects;
+        Ok(())
     }
 
     /// The profiled program's name.
